@@ -33,12 +33,12 @@ import (
 	"strings"
 
 	"repro/internal/am"
+	"repro/internal/blades/treeblade"
 	"repro/internal/chronon"
 	"repro/internal/engine"
 	"repro/internal/grtree"
 	"repro/internal/mi"
 	"repro/internal/nodestore"
-	"repro/internal/sbspace"
 	"repro/internal/temporal"
 	"repro/internal/types"
 )
@@ -234,16 +234,7 @@ func Register(e *engine.Engine) error {
 	if err := RegisterTypes(e.Types()); err != nil {
 		return err
 	}
-	e.LoadLibrary(LibraryPath, Library(e))
-	if _, err := e.Catalog().AmByName(AmName); err == nil {
-		return nil // already registered in a previous incarnation
-	}
-	s := e.NewSession()
-	defer s.Close()
-	if _, err := s.ExecScript(RegistrationSQL); err != nil {
-		return fmt.Errorf("grtblade: registration: %w", err)
-	}
-	return nil
+	return treeblade.Install(e, "grtblade", LibraryPath, Library(e), AmName, RegistrationSQL)
 }
 
 // openState is the blade's per-open-index state stored in the index
@@ -253,7 +244,6 @@ type openState struct {
 	tree       *grtree.Tree
 	cfg        config
 	ct         chronon.Instant
-	cursor     *grtree.Cursor
 	matcher    grtree.Matcher // the current scan's compiled qualification
 	rightAfter bool           // grt_open invoked right after grt_create no-ops
 }
@@ -269,25 +259,22 @@ type config struct {
 	dynamic bool
 }
 
-func parseConfig(params map[string]string) (config, error) {
-	cfg := config{placement: nodestore.SingleLO, treeCfg: grtree.DefaultConfig()}
+func parseConfig(params map[string]string) (cfg config, err error) {
+	cfg = config{placement: nodestore.SingleLO, treeCfg: grtree.DefaultConfig()}
 	for k, v := range params {
 		switch strings.ToLower(k) {
 		case "placement":
-			switch {
-			case strings.EqualFold(v, "single"):
-				cfg.placement = nodestore.SingleLO
-			case strings.EqualFold(v, "pernode"):
-				cfg.placement = nodestore.PerNodeLO
-			case strings.HasPrefix(strings.ToLower(v), "subtree:"):
-				n, err := strconv.Atoi(v[len("subtree:"):])
-				if err != nil || n < 1 {
-					return cfg, fmt.Errorf("grtblade: bad placement %q", v)
+			if !strings.HasPrefix(strings.ToLower(v), "subtree:") {
+				if cfg.placement, err = treeblade.Placement("grtblade", v); err != nil {
+					return cfg, err
 				}
-				cfg.placement = nodestore.PerSubtreeLO(n)
-			default:
+				continue
+			}
+			n, err := strconv.Atoi(v[len("subtree:"):])
+			if err != nil || n < 1 {
 				return cfg, fmt.Errorf("grtblade: bad placement %q", v)
 			}
+			cfg.placement = nodestore.PerSubtreeLO(n)
 		case "timeparam":
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil || n < 1 {
@@ -308,11 +295,9 @@ func parseConfig(params map[string]string) (config, error) {
 				return cfg, fmt.Errorf("grtblade: bad deletepolicy %q", v)
 			}
 		case "maxentries":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 4 {
-				return cfg, fmt.Errorf("grtblade: bad maxentries %q", v)
+			if cfg.treeCfg.MaxEntries, err = treeblade.MaxEntries("grtblade", v); err != nil {
+				return cfg, err
 			}
-			cfg.treeCfg.MaxEntries = n
 		case "timepolicy":
 			switch strings.ToLower(v) {
 			case "transaction":
@@ -338,21 +323,6 @@ func parseConfig(params map[string]string) (config, error) {
 	return cfg, nil
 }
 
-// amRecord is what grt_create stores in the table associated with the
-// access method (Appendix A step 6): the large-object handle of the index.
-func encodeAMRecord(h sbspace.Handle) []byte {
-	buf := make([]byte, sbspace.HandleSize)
-	h.Encode(buf)
-	return buf
-}
-
-func decodeAMRecord(data []byte) (sbspace.Handle, error) {
-	if len(data) != sbspace.HandleSize {
-		return sbspace.NilHandle, fmt.Errorf("grtblade: corrupt access-method record (%d bytes)", len(data))
-	}
-	return sbspace.DecodeHandle(data), nil
-}
-
 // currentTime implements Section 5.4: a constant current-time value for the
 // whole transaction, obtained the first time the index is used in the
 // transaction, kept in named memory identified by the session, and freed by
@@ -373,23 +343,14 @@ func currentTime(ctx *mi.Context, svc am.Services, perStatement bool) chronon.In
 }
 
 // state fetches the blade state from the descriptor.
-func state(id *am.IndexDesc) (*openState, error) {
-	st, ok := id.UserData.(*openState)
-	if !ok || st == nil {
-		return nil, fmt.Errorf("grtblade: index %s is not open", id.Name)
-	}
-	return st, nil
-}
+func state(id *am.IndexDesc) (*openState, error) { return treeblade.State[openState]("grtblade", id) }
 
 // validateColumns implements grt_create steps 2–3: the access method only
 // handles a single column of GRT_TimeExtent_t, and only its own operator
 // classes.
 func validateColumns(id *am.IndexDesc) error {
-	if len(id.ColTypes) != 1 {
-		return fmt.Errorf("grtblade: grtree_am indexes exactly one column, got %d", len(id.ColTypes))
-	}
-	if id.ColTypes[0].Kind != types.KOpaque || !strings.EqualFold(id.ColTypes[0].Name, TypeName) {
-		return fmt.Errorf("grtblade: grtree_am cannot handle column type %v", id.ColTypes[0])
+	if err := treeblade.CheckColumn("grtblade", AmName, TypeName, id); err != nil {
+		return err
 	}
 	if id.OpClass != "" && !strings.EqualFold(id.OpClass, "grt_opclass") {
 		return fmt.Errorf("grtblade: operator class %s cannot be used with grtree_am", id.OpClass)
@@ -397,7 +358,8 @@ func validateColumns(id *am.IndexDesc) error {
 	return nil
 }
 
-func extentArg(d types.Datum) (temporal.Extent, error) {
+// ExtentArg decodes a GRT_TimeExtent_t datum.
+func ExtentArg(d types.Datum) (temporal.Extent, error) {
 	op, ok := d.(types.Opaque)
 	if !ok {
 		return temporal.Extent{}, fmt.Errorf("grtblade: expected a %s value, got %T", TypeName, d)

@@ -5,13 +5,12 @@ import (
 	"strings"
 
 	"repro/internal/am"
+	"repro/internal/blades/treeblade"
 	"repro/internal/chronon"
 	"repro/internal/engine"
 	"repro/internal/grtree"
 	"repro/internal/heap"
 	"repro/internal/mi"
-	"repro/internal/nodestore"
-	"repro/internal/sbspace"
 	"repro/internal/temporal"
 	"repro/internal/types"
 )
@@ -78,14 +77,7 @@ func grtCreate(ctx *mi.Context, id *am.IndexDesc) error {
 			AmName, id.TableName, strings.Join(id.Columns, ","))
 	}
 	// Step 5: create the BLOB the index is stored in.
-	if id.SpaceName == "" {
-		return fmt.Errorf("grtblade: grtree_am stores indexes in sbspaces; use CREATE INDEX ... IN <sbspace>")
-	}
-	space, err := id.Services.Space(id.SpaceName)
-	if err != nil {
-		return err
-	}
-	store, handle, err := nodestore.CreateLO(space, id.Services.TxID(), id.Services.Isolation(), cfg.placement)
+	store, handle, err := treeblade.CreateStore("grtblade", AmName, id, cfg.placement)
 	if err != nil {
 		return err
 	}
@@ -96,7 +88,7 @@ func grtCreate(ctx *mi.Context, id *am.IndexDesc) error {
 	}
 	// Step 6: record the index id and BLOB handle in the table associated
 	// with the access method.
-	if err := id.Services.AMRecordPut(AmName, id.Name, encodeAMRecord(handle)); err != nil {
+	if err := id.Services.AMRecordPut(AmName, id.Name, treeblade.HandleRecord(handle)); err != nil {
 		return err
 	}
 	// The dup record carries the owning index's name so catalog recovery can
@@ -144,29 +136,10 @@ func grtOpen(ctx *mi.Context, id *am.IndexDesc) error {
 	if err != nil {
 		return err
 	}
-	// Step 3: get the BLOB handle from the access method's table.
-	rec, ok, err := id.Services.AMRecordGet(AmName, id.Name)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("grtblade: index %s has no access-method record", id.Name)
-	}
-	handle, err := decodeAMRecord(rec)
-	if err != nil {
-		return err
-	}
-	space, err := id.Services.Space(id.SpaceName)
-	if err != nil {
-		return err
-	}
-	// Step 4: open the BLOB (shared lock for read-only statements,
-	// exclusive otherwise; Section 5.3's automatic LO-level locking).
-	mode := sbspace.ReadWrite
-	if id.ReadOnly {
-		mode = sbspace.ReadOnly
-	}
-	store, err := nodestore.OpenLO(space, id.Services.TxID(), id.Services.Isolation(), handle, mode)
+	// Steps 3–4: get the BLOB handle from the access method's table and
+	// open the BLOB (shared lock for read-only statements, exclusive
+	// otherwise; Section 5.3's automatic LO-level locking).
+	store, err := treeblade.OpenStore("grtblade", AmName, id)
 	if err != nil {
 		return err
 	}
@@ -187,7 +160,6 @@ func grtClose(ctx *mi.Context, id *am.IndexDesc) error {
 	if err != nil {
 		return err
 	}
-	st.cursor = nil
 	if err := st.store.Close(); err != nil {
 		return err
 	}
@@ -219,30 +191,15 @@ func compileQual(q *am.Qual) (*grtree.Compound, error) {
 		}
 		return grtree.OrOf(kids...), nil
 	case am.QFunc:
-		var op grtree.Op
-		switch strings.ToLower(q.Func) {
-		case "overlaps":
-			op = grtree.OpOverlaps
-		case "equal":
-			op = grtree.OpEqual
-		case "contains":
-			op = grtree.OpContains
-			if !q.ColFirst {
-				op = grtree.OpContainedIn
-			}
-		case "containedin":
-			op = grtree.OpContainedIn
-			if !q.ColFirst {
-				op = grtree.OpContains
-			}
-		default:
+		s, ok := treeblade.Strategy(q)
+		if !ok {
 			return nil, fmt.Errorf("grtblade: %q is not a grt_opclass strategy function", q.Func)
 		}
-		ext, err := extentArg(q.Const)
+		ext, err := ExtentArg(q.Const)
 		if err != nil {
 			return nil, err
 		}
-		return grtree.Leaf(grtree.Predicate{Op: op, Query: ext}), nil
+		return grtree.Leaf(grtree.Predicate{Op: grtree.Op(s), Query: ext}), nil
 	}
 	return nil, fmt.Errorf("grtblade: bad qualification node")
 }
@@ -273,10 +230,8 @@ func grtBeginScan(ctx *mi.Context, sd *am.ScanDesc) error {
 			svc: sd.Index.Services, typeID: sd.Index.ColTypes[0].OpaqueID,
 		}
 	}
-	cur := st.tree.SearchMatcher(matcher, st.ct)
-	st.cursor = cur
 	st.matcher = matcher
-	sd.UserData = cur
+	sd.UserData = st.tree.SearchMatcher(matcher, st.ct)
 	// Negotiate the am_getmulti batch capacity: the server proposes one
 	// before am_beginscan; the blade caps it at its own maximum (a larger
 	// buffer than this cannot help a tree whose leaves hold maxentries).
@@ -329,11 +284,8 @@ func (m *dynamicMatcher) LeafMatch(r temporal.Region, ct chronon.Instant) bool {
 }
 
 // grtParallelScan implements am_parallelscan: offered a degree, it asks the
-// tree for a root fan-out partitioning and, when the tree accepts, returns
-// one partition ScanDesc per worker, each carrying its own PartCursor. The
-// parent descriptor's UserData is replaced by the ParallelScan itself so
-// grt_rescan can re-seed the shared work queue and grt_endscan tears the
-// whole partitioning down.
+// tree for a root fan-out partitioning and, when the tree accepts, hands out
+// one partition ScanDesc per worker.
 func grtParallelScan(ctx *mi.Context, sd *am.ScanDesc, degree int) ([]*am.ScanDesc, error) {
 	st, err := state(sd.Index)
 	if err != nil {
@@ -346,105 +298,41 @@ func grtParallelScan(ctx *mi.Context, sd *am.ScanDesc, degree int) ([]*am.ScanDe
 	if err != nil || ps == nil {
 		return nil, err
 	}
-	workers := ps.Parts()
-	if workers > degree {
-		workers = degree
-	}
-	sd.UserData = ps
-	out := make([]*am.ScanDesc, workers)
-	for i := range out {
-		out[i] = &am.ScanDesc{
-			Index: sd.Index, Qual: sd.Qual,
-			BatchCap: sd.BatchCap, Obs: sd.Obs,
-			UserData: ps.Cursor(),
-		}
-	}
-	ctx.Tracer().Tracef("grt", 2, "grt_parallelscan %s: %d workers over %d subtrees", sd.Index.Name, workers, ps.Parts())
-	return out, nil
+	return treeblade.Partition(ctx, "grt", sd, ps, degree), nil
 }
 
-// grtRescan implements am_rescan: reset the cursor, and discard any
-// batched-but-undelivered entries — after a restart (Section 5.5's
-// restart-on-condense) buffered rowids may no longer qualify, and the reset
-// cursor will produce the qualifying ones again. Under a parallel scan the
-// descriptor holds the partitioning, and rescan re-seeds its work queue.
+// grtRescan implements am_rescan: reset the cursor (or, under a parallel
+// scan, re-seed its work queue) and discard batched-but-undelivered entries.
 func grtRescan(ctx *mi.Context, sd *am.ScanDesc) error {
-	if sd.Batch != nil {
-		sd.Batch.Reset()
+	return treeblade.Rescan("grtblade", sd)
+}
+
+// extentRow renders a leaf region as the indexed-column values (the
+// opaque extent) grt_getnext and grt_getmulti return with each rowid.
+func extentRow(sd *am.ScanDesc) func(temporal.Region) []types.Datum {
+	typeID := sd.Index.ColTypes[0].OpaqueID
+	return func(r temporal.Region) []types.Datum {
+		ext := temporal.Extent{TTBegin: r.TTBegin, TTEnd: r.TTEnd, VTBegin: r.VTBegin, VTEnd: r.VTEnd}
+		return []types.Datum{types.Opaque{TypeID: typeID, Data: EncodeExtent(ext)}}
 	}
-	switch cur := sd.UserData.(type) {
-	case *grtree.Cursor:
-		cur.Reset()
-		return nil
-	case *grtree.ParallelScan:
-		return cur.Reset()
-	}
-	return fmt.Errorf("grtblade: rescan without a cursor")
 }
 
 // grtGetNext implements am_getnext (Table 5, grt_getnext): fetch the next
 // qualifying entry, form the rowid and the indexed-column values.
 func grtGetNext(ctx *mi.Context, sd *am.ScanDesc) (heap.RowID, []types.Datum, bool, error) {
-	cur, ok := sd.UserData.(*grtree.Cursor)
-	if !ok {
-		return 0, nil, false, fmt.Errorf("grtblade: getnext without beginscan")
-	}
-	entry, ok2, err := cur.Next()
-	if err != nil || !ok2 {
-		return 0, nil, false, err
-	}
-	ext := temporal.Extent{
-		TTBegin: entry.Region.TTBegin, TTEnd: entry.Region.TTEnd,
-		VTBegin: entry.Region.VTBegin, VTEnd: entry.Region.VTEnd,
-	}
-	row := []types.Datum{types.Opaque{
-		TypeID: sd.Index.ColTypes[0].OpaqueID,
-		Data:   EncodeExtent(ext),
-	}}
-	return heap.RowID(entry.Payload()), row, true, nil
+	return treeblade.GetNext("grtblade", sd, extentRow(sd))
 }
 
 // grtGetMulti implements am_getmulti, the batched companion of
-// grt_getnext: one purpose-function dispatch drains the cursor's next
-// qualifying entries — each visited leaf node's matches in a single pass —
-// into the server's batch buffer. Returning fewer entries than the batch
-// holds signals exhaustion.
+// grt_getnext.
 func grtGetMulti(ctx *mi.Context, sd *am.ScanDesc) (int, error) {
-	// The descriptor holds either the serial cursor or, on a parallel
-	// partition descriptor, a PartCursor — both drain through NextBatch.
-	cur, ok := sd.UserData.(interface {
-		NextBatch([]grtree.Entry) (int, error)
-	})
-	if !ok {
-		return 0, fmt.Errorf("grtblade: getmulti without beginscan")
-	}
-	b := sd.Batch
-	b.Reset()
-	entries := make([]grtree.Entry, b.Cap())
-	n, err := cur.NextBatch(entries)
-	if err != nil {
-		return 0, err
-	}
-	typeID := sd.Index.ColTypes[0].OpaqueID
-	for i := 0; i < n; i++ {
-		e := entries[i]
-		ext := temporal.Extent{
-			TTBegin: e.Region.TTBegin, TTEnd: e.Region.TTEnd,
-			VTBegin: e.Region.VTBegin, VTEnd: e.Region.VTEnd,
-		}
-		b.Append(heap.RowID(e.Payload()), []types.Datum{types.Opaque{
-			TypeID: typeID,
-			Data:   EncodeExtent(ext),
-		}})
-	}
-	return b.N, nil
+	return treeblade.GetMulti("grtblade", sd, extentRow(sd))
 }
 
 // grtEndScan implements am_endscan: delete the cursor (and, under a
 // parallel scan, the whole partitioning with it).
 func grtEndScan(ctx *mi.Context, sd *am.ScanDesc) error {
 	if st, err := state(sd.Index); err == nil {
-		st.cursor = nil
 		st.matcher = nil
 	}
 	sd.UserData = nil
@@ -461,24 +349,16 @@ func grtBuild(ctx *mi.Context, id *am.IndexDesc, next am.AmBuildNext) (int, erro
 		return 0, err
 	}
 	var items []grtree.BulkItem
-	for {
-		b, err := next()
+	err = treeblade.ForEachRow(next, func(rid heap.RowID, row []types.Datum) error {
+		ext, err := st.indexed(row[0])
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.N; i++ {
-			ext, err := extentArg(b.Rows[i][0])
-			if err != nil {
-				return 0, err
-			}
-			if !ext.ValidAt(st.ct) {
-				return 0, fmt.Errorf("grtblade: extent %v violates the transaction-time constraints at current time %v", ext, st.ct)
-			}
-			items = append(items, grtree.BulkItem{Extent: ext, Payload: grtree.Payload(b.RowIDs[i])})
-		}
+		items = append(items, grtree.BulkItem{Extent: ext, Payload: grtree.Payload(rid)})
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	if err := st.tree.BulkLoad(items, st.ct); err != nil {
 		return 0, err
@@ -487,18 +367,25 @@ func grtBuild(ctx *mi.Context, id *am.IndexDesc, next am.AmBuildNext) (int, erro
 	return len(items), nil
 }
 
+// indexed decodes a column value being indexed, enforcing the
+// transaction-time constraints at the blade's current time.
+func (st *openState) indexed(d types.Datum) (temporal.Extent, error) {
+	ext, err := ExtentArg(d)
+	if err == nil && !ext.ValidAt(st.ct) {
+		err = fmt.Errorf("grtblade: extent %v violates the transaction-time constraints at current time %v", ext, st.ct)
+	}
+	return ext, err
+}
+
 // grtInsert implements am_insert (Table 5, grt_insert).
 func grtInsert(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.RowID) error {
 	st, err := state(id)
 	if err != nil {
 		return err
 	}
-	ext, err := extentArg(row[0])
+	ext, err := st.indexed(row[0])
 	if err != nil {
 		return err
-	}
-	if !ext.ValidAt(st.ct) {
-		return fmt.Errorf("grtblade: extent %v violates the transaction-time constraints at current time %v", ext, st.ct)
 	}
 	return st.tree.Insert(ext, grtree.Payload(rid), st.ct)
 }
@@ -511,7 +398,7 @@ func grtDelete(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.Ro
 	if err != nil {
 		return err
 	}
-	ext, err := extentArg(row[0])
+	ext, err := ExtentArg(row[0])
 	if err != nil {
 		return err
 	}
@@ -539,75 +426,31 @@ func grtUpdate(ctx *mi.Context, id *am.IndexDesc, oldRow []types.Datum, oldRid h
 
 // grtScanCost implements am_scancost: a height-plus-leaf-fraction estimate
 // the optimizer compares with the heap page count. With collected statistics
-// on the descriptor (UPDATE STATISTICS ran for the table) the leaf fraction
-// is scaled by a histogram selectivity estimate for the qualification's
-// valid-time window instead of the magic 0.2 constant.
+// each strategy-function leaf is estimated with the interval-overlap
+// formula over the query's valid-time window, resolved at the blade's
+// current time.
 func grtScanCost(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (float64, error) {
 	st, err := state(id)
 	if err != nil {
 		return 0, err
 	}
-	leafNodes := float64(st.tree.Size())/float64(st.tree.Config().MaxEntries) + 1
-	if id.Stats != nil && id.Stats.Lo.Rows > 0 {
-		sel := qualSelectivity(id.Stats, q, st.ct)
-		cost := 1 + float64(st.tree.Height()) + sel*leafNodes
-		ctx.Tracer().Tracef("grt", 2, "grt_scancost %s: %.2f (stats, sel %.3f over ~%.0f leaves)",
-			id.Name, cost, sel, leafNodes)
-		return cost, nil
-	}
-	cost := float64(st.tree.Height()) + 0.2*leafNodes
-	ctx.Tracer().Tracef("grt", 2, "grt_scancost %s: %.2f (height %d, ~%.0f leaves)",
-		id.Name, cost, st.tree.Height(), leafNodes)
-	return cost, nil
-}
-
-// qualSelectivity estimates the fraction of index entries a qualification
-// touches from the collected valid-time histograms. Leaves are estimated
-// with the interval-overlap formula over the query's resolved valid-time
-// window; AND takes the most selective conjunct, OR saturating-adds.
-func qualSelectivity(stats *am.IndexStats, q *am.Qual, ct chronon.Instant) float64 {
-	if q == nil {
-		return 1
-	}
-	switch q.Op {
-	case am.QAnd:
-		sel := 1.0
-		for _, c := range q.Children {
-			if s := qualSelectivity(stats, c, ct); s < sel {
-				sel = s
-			}
-		}
-		return sel
-	case am.QOr:
-		sel := 0.0
-		for _, c := range q.Children {
-			sel += qualSelectivity(stats, c, ct)
-		}
-		if sel > 1 {
-			sel = 1
-		}
-		return sel
-	case am.QFunc:
-		ext, err := extentArg(q.Const)
+	return treeblade.ScanCost(ctx, "grt", id, st.tree.Tree, q, func(l *am.Qual) float64 {
+		ext, err := ExtentArg(l.Const)
 		if err != nil {
 			return 1
 		}
-		sh := ext.Region().Resolve(ct)
+		sh := ext.Region().Resolve(st.ct)
 		if sh.Empty() {
 			return 0
 		}
-		return stats.SelectivityOverlap(float64(sh.VTBegin), float64(sh.VTEnd))
-	}
-	return 1
+		return id.Stats.SelectivityOverlap(float64(sh.VTBegin), float64(sh.VTEnd))
+	}), nil
 }
 
-// histogramBuckets is the equi-depth bucket count am_stats collects.
-const histogramBuckets = 32
-
-// grtStats implements am_stats: the original human-readable summary plus the
-// entry count and per-axis valid-time histograms UPDATE STATISTICS persists
-// into SYSSTATS. Each leaf entry's region is resolved at the blade's current
-// time, so now-relative extents contribute their geometry as of collection —
+// grtStats implements am_stats: the human-readable summary plus the entry
+// count and valid-time histograms UPDATE STATISTICS persists into SYSSTATS.
+// Each leaf entry's region is resolved at the blade's current time, so
+// now-relative extents contribute their geometry as of collection —
 // statistics are a snapshot, aged by the catalog generation stamp.
 func grtStats(ctx *mi.Context, id *am.IndexDesc) (*am.IndexStats, error) {
 	st, err := state(id)
@@ -618,30 +461,13 @@ func grtStats(ctx *mi.Context, id *am.IndexDesc) (*am.IndexStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	var overlap float64
-	for _, l := range ts.PerLevel {
-		overlap += l.Overlap
-	}
-	summary := fmt.Sprintf("index %s: %d entries, height %d, %d nodes, sibling overlap %.0f",
-		id.Name, ts.LeafEntries, ts.Height, ts.Nodes, overlap)
-
-	lo := make([]float64, 0, ts.LeafEntries)
-	hi := make([]float64, 0, ts.LeafEntries)
-	err = st.tree.WalkLeaves(func(e grtree.Entry) error {
-		sh := e.Region.Resolve(st.ct)
-		lo = append(lo, float64(sh.VTBegin))
-		hi = append(hi, float64(sh.VTEnd))
-		return nil
+	return treeblade.IndexStats(id.Name, ts.Stats, func(visit func(lo, hi int64)) error {
+		return st.tree.WalkLeaves(func(e grtree.Entry) error {
+			sh := e.Key.Resolve(st.ct)
+			visit(sh.VTBegin, sh.VTEnd)
+			return nil
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &am.IndexStats{
-		Summary: summary,
-		Entries: ts.LeafEntries,
-		Lo:      am.BuildHistogram(lo, histogramBuckets),
-		Hi:      am.BuildHistogram(hi, histogramBuckets),
-	}, nil
 }
 
 // grtAggregate implements am_aggregate: COUNT is answered by the tree's
@@ -712,26 +538,35 @@ func udrCurrentTime(ctx *mi.Context, e *engine.Engine) chronon.Instant {
 	return e.Clock().Now()
 }
 
+// extentUDR builds a SQL-callable function over arity (1 or 2) extent
+// arguments, evaluated at the UDR current time.
+func extentUDR(e *engine.Engine, name string, arity int, fn func(a, b temporal.Extent, ct chronon.Instant) types.Datum) am.UDRFunc {
+	return func(ctx *mi.Context, args []types.Datum) (types.Datum, error) {
+		if len(args) != arity {
+			plural := "s"
+			if arity == 1 {
+				plural = ""
+			}
+			return nil, fmt.Errorf("grtblade: %s needs %d argument%s", name, arity, plural)
+		}
+		var x [2]temporal.Extent
+		for i, d := range args {
+			var err error
+			if x[i], err = ExtentArg(d); err != nil {
+				return nil, err
+			}
+		}
+		return fn(x[0], x[1], udrCurrentTime(ctx, e)), nil
+	}
+}
+
 // strategyUDR builds the SQL-callable strategy functions (Overlaps, Equal,
 // Contains, ContainedIn) used when a statement is processed without the
 // index.
 func strategyUDR(e *engine.Engine, op grtree.Op) am.UDRFunc {
-	return func(ctx *mi.Context, args []types.Datum) (types.Datum, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("grtblade: strategy function needs 2 arguments")
-		}
-		a, err := extentArg(args[0])
-		if err != nil {
-			return nil, err
-		}
-		b, err := extentArg(args[1])
-		if err != nil {
-			return nil, err
-		}
-		ct := udrCurrentTime(ctx, e)
-		pred := grtree.Predicate{Op: op, Query: b}
-		return pred.Match(a, ct), nil
-	}
+	return extentUDR(e, "strategy function", 2, func(a, b temporal.Extent, ct chronon.Instant) types.Datum {
+		return grtree.Predicate{Op: op, Query: b}.Match(a, ct)
+	})
 }
 
 // unionUDR is the support function GRT_Union: the minimum bounding region
@@ -740,54 +575,24 @@ func strategyUDR(e *engine.Engine, op grtree.Op) am.UDRFunc {
 // bound reads back as its stair-shaped under-approximation, which is why
 // the index hard-codes its internal-region functions, Section 5.2).
 func unionUDR(e *engine.Engine) am.UDRFunc {
-	return func(ctx *mi.Context, args []types.Datum) (types.Datum, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("grtblade: GRT_Union needs 2 arguments")
-		}
-		a, err := extentArg(args[0])
-		if err != nil {
-			return nil, err
-		}
-		b, err := extentArg(args[1])
-		if err != nil {
-			return nil, err
-		}
-		ct := udrCurrentTime(ctx, e)
+	return extentUDR(e, "GRT_Union", 2, func(a, b temporal.Extent, ct chronon.Instant) types.Datum {
 		u := a.Region().Union(b.Region(), ct, temporal.DefaultBoundPolicy)
 		out := temporal.Extent{TTBegin: u.TTBegin, TTEnd: u.TTEnd, VTBegin: u.VTBegin, VTEnd: u.VTEnd}
 		ot, _ := e.Types().Lookup(TypeName)
-		return types.Opaque{TypeID: ot.ID, Data: EncodeExtent(out)}, nil
-	}
+		return types.Opaque{TypeID: ot.ID, Data: EncodeExtent(out)}
+	})
 }
 
 // sizeUDR is the support function GRT_Size: the extent's area now.
 func sizeUDR(e *engine.Engine) am.UDRFunc {
-	return func(ctx *mi.Context, args []types.Datum) (types.Datum, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("grtblade: GRT_Size needs 1 argument")
-		}
-		a, err := extentArg(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return a.Region().Area(udrCurrentTime(ctx, e)), nil
-	}
+	return extentUDR(e, "GRT_Size", 1, func(a, _ temporal.Extent, ct chronon.Instant) types.Datum {
+		return a.Region().Area(ct)
+	})
 }
 
 // interUDR is the support function GRT_Inter: intersection area now.
 func interUDR(e *engine.Engine) am.UDRFunc {
-	return func(ctx *mi.Context, args []types.Datum) (types.Datum, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("grtblade: GRT_Inter needs 2 arguments")
-		}
-		a, err := extentArg(args[0])
-		if err != nil {
-			return nil, err
-		}
-		b, err := extentArg(args[1])
-		if err != nil {
-			return nil, err
-		}
-		return a.Region().IntersectionArea(b.Region(), udrCurrentTime(ctx, e)), nil
-	}
+	return extentUDR(e, "GRT_Inter", 2, func(a, b temporal.Extent, ct chronon.Instant) types.Datum {
+		return a.Region().IntersectionArea(b.Region(), ct)
+	})
 }

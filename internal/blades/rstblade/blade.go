@@ -25,13 +25,13 @@ import (
 
 	"repro/internal/am"
 	"repro/internal/blades/grtblade"
+	"repro/internal/blades/treeblade"
 	"repro/internal/chronon"
 	"repro/internal/engine"
 	"repro/internal/heap"
 	"repro/internal/mi"
 	"repro/internal/nodestore"
 	"repro/internal/rstar"
-	"repro/internal/sbspace"
 	"repro/internal/temporal"
 	"repro/internal/types"
 )
@@ -102,16 +102,7 @@ func Register(e *engine.Engine) error {
 	if _, ok := e.Types().Lookup(grtblade.TypeName); !ok {
 		return fmt.Errorf("rstblade: register grtblade first (%s missing)", grtblade.TypeName)
 	}
-	e.LoadLibrary(LibraryPath, Library())
-	if _, err := e.Catalog().AmByName(AmName); err == nil {
-		return nil
-	}
-	s := e.NewSession()
-	defer s.Close()
-	if _, err := s.ExecScript(RegistrationSQL); err != nil {
-		return fmt.Errorf("rstblade: registration: %w", err)
-	}
-	return nil
+	return treeblade.Install(e, "rstblade", LibraryPath, Library(), AmName, RegistrationSQL)
 }
 
 // NowSub is the UC/NOW substitution policy.
@@ -131,8 +122,8 @@ type config struct {
 	maxTS     chronon.Instant
 }
 
-func parseConfig(params map[string]string) (config, error) {
-	cfg := config{placement: nodestore.SingleLO, treeCfg: rstar.DefaultConfig(), maxTS: DefaultMaxTimestamp}
+func parseConfig(params map[string]string) (cfg config, err error) {
+	cfg = config{placement: nodestore.SingleLO, treeCfg: rstar.DefaultConfig(), maxTS: DefaultMaxTimestamp}
 	for k, v := range params {
 		switch strings.ToLower(k) {
 		case "nowsub":
@@ -151,19 +142,12 @@ func parseConfig(params map[string]string) (config, error) {
 			}
 			cfg.maxTS = chronon.Instant(n)
 		case "maxentries":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 4 {
-				return cfg, fmt.Errorf("rstblade: bad maxentries %q", v)
+			if cfg.treeCfg.MaxEntries, err = treeblade.MaxEntries("rstblade", v); err != nil {
+				return cfg, err
 			}
-			cfg.treeCfg.MaxEntries = n
 		case "placement":
-			switch {
-			case strings.EqualFold(v, "single"):
-				cfg.placement = nodestore.SingleLO
-			case strings.EqualFold(v, "pernode"):
-				cfg.placement = nodestore.PerNodeLO
-			default:
-				return cfg, fmt.Errorf("rstblade: bad placement %q", v)
+			if cfg.placement, err = treeblade.Placement("rstblade", v); err != nil {
+				return cfg, err
 			}
 		default:
 			return cfg, fmt.Errorf("rstblade: unknown index parameter %q", k)
@@ -198,12 +182,10 @@ type openState struct {
 	cfg   config
 	ct    chronon.Instant
 	// scan state
-	cursor *rstar.Cursor
-	qr     rstar.Rect // the current scan's conservative query rectangle
+	qr rstar.Rect // the current scan's conservative query rectangle
 	// dynamic strategy dispatch (Section 5.2's extensible alternative):
 	// exact filtering happens through registered UDRs invoked per candidate.
-	qual   *am.Qual
-	typeID uint32
+	qual *am.Qual
 	// ground records that every entry ever indexed was a ground extent (no
 	// UC/NOW substitution happened), so the stored rectangles are exact and
 	// rst_aggregate may answer from them. Persisted in the access method's
@@ -217,13 +199,7 @@ type openState struct {
 // "ground|"+name shape matches the catalog's per-index record purge.
 func groundKey(indexName string) string { return "ground|" + strings.ToLower(indexName) }
 
-func state(id *am.IndexDesc) (*openState, error) {
-	st, ok := id.UserData.(*openState)
-	if !ok || st == nil {
-		return nil, fmt.Errorf("rstblade: index %s is not open", id.Name)
-	}
-	return st, nil
-}
+func state(id *am.IndexDesc) (*openState, error) { return treeblade.State[openState]("rstblade", id) }
 
 // Library returns the blade's symbol table.
 func Library() am.Library {
@@ -249,32 +225,15 @@ func Library() am.Library {
 	}
 }
 
-func validateColumns(id *am.IndexDesc) error {
-	if len(id.ColTypes) != 1 {
-		return fmt.Errorf("rstblade: rstree_am indexes exactly one column")
-	}
-	if id.ColTypes[0].Kind != types.KOpaque || !strings.EqualFold(id.ColTypes[0].Name, grtblade.TypeName) {
-		return fmt.Errorf("rstblade: rstree_am cannot handle column type %v", id.ColTypes[0])
-	}
-	return nil
-}
-
 func rstCreate(ctx *mi.Context, id *am.IndexDesc) error {
-	if err := validateColumns(id); err != nil {
+	if err := treeblade.CheckColumn("rstblade", AmName, grtblade.TypeName, id); err != nil {
 		return err
 	}
 	cfg, err := parseConfig(id.Params)
 	if err != nil {
 		return err
 	}
-	if id.SpaceName == "" {
-		return fmt.Errorf("rstblade: rstree_am stores indexes in sbspaces; use CREATE INDEX ... IN <sbspace>")
-	}
-	space, err := id.Services.Space(id.SpaceName)
-	if err != nil {
-		return err
-	}
-	store, handle, err := nodestore.CreateLO(space, id.Services.TxID(), id.Services.Isolation(), cfg.placement)
+	store, handle, err := treeblade.CreateStore("rstblade", AmName, id, cfg.placement)
 	if err != nil {
 		return err
 	}
@@ -282,9 +241,7 @@ func rstCreate(ctx *mi.Context, id *am.IndexDesc) error {
 	if err != nil {
 		return err
 	}
-	rec := make([]byte, sbspace.HandleSize)
-	handle.Encode(rec)
-	if err := id.Services.AMRecordPut(AmName, id.Name, rec); err != nil {
+	if err := id.Services.AMRecordPut(AmName, id.Name, treeblade.HandleRecord(handle)); err != nil {
 		return err
 	}
 	// A fresh index holds only ground rectangles (vacuously); overwrite any
@@ -294,7 +251,7 @@ func rstCreate(ctx *mi.Context, id *am.IndexDesc) error {
 	}
 	id.UserData = &openState{
 		store: store, tree: tree, cfg: cfg, ground: true,
-		ct: id.Services.Clock().Now(), typeID: id.ColTypes[0].OpaqueID, rightAfter: true,
+		ct: id.Services.Clock().Now(), rightAfter: true,
 	}
 	return nil
 }
@@ -323,22 +280,7 @@ func rstOpen(ctx *mi.Context, id *am.IndexDesc) error {
 	if err != nil {
 		return err
 	}
-	rec, ok, err := id.Services.AMRecordGet(AmName, id.Name)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("rstblade: index %s has no access-method record", id.Name)
-	}
-	space, err := id.Services.Space(id.SpaceName)
-	if err != nil {
-		return err
-	}
-	mode := sbspace.ReadWrite
-	if id.ReadOnly {
-		mode = sbspace.ReadOnly
-	}
-	store, err := nodestore.OpenLO(space, id.Services.TxID(), id.Services.Isolation(), sbspace.DecodeHandle(rec), mode)
+	store, err := treeblade.OpenStore("rstblade", AmName, id)
 	if err != nil {
 		return err
 	}
@@ -358,7 +300,7 @@ func rstOpen(ctx *mi.Context, id *am.IndexDesc) error {
 	}
 	id.UserData = &openState{
 		store: store, tree: tree, cfg: cfg, ground: ground,
-		ct: id.Services.Clock().Now(), typeID: id.ColTypes[0].OpaqueID,
+		ct: id.Services.Clock().Now(),
 	}
 	return nil
 }
@@ -368,7 +310,6 @@ func rstClose(ctx *mi.Context, id *am.IndexDesc) error {
 	if err != nil {
 		return err
 	}
-	st.cursor = nil
 	if err := st.store.Close(); err != nil {
 		return err
 	}
@@ -387,7 +328,7 @@ func (st *openState) queryRect(q *am.Qual) (rstar.Rect, error) {
 	var out rstar.Rect
 	first := true
 	for _, l := range leaves {
-		ext, err := extentOf(l.Const)
+		ext, err := grtblade.ExtentArg(l.Const)
 		if err != nil {
 			return rstar.Rect{}, err
 		}
@@ -408,14 +349,6 @@ func (st *openState) queryRect(q *am.Qual) (rstar.Rect, error) {
 	return out, nil
 }
 
-func extentOf(d types.Datum) (temporal.Extent, error) {
-	op, ok := d.(types.Opaque)
-	if !ok {
-		return temporal.Extent{}, fmt.Errorf("rstblade: expected %s, got %T", grtblade.TypeName, d)
-	}
-	return grtblade.DecodeExtent(op.Data)
-}
-
 func rstBeginScan(ctx *mi.Context, sd *am.ScanDesc) error {
 	st, err := state(sd.Index)
 	if err != nil {
@@ -432,7 +365,6 @@ func rstBeginScan(ctx *mi.Context, sd *am.ScanDesc) error {
 	if err != nil {
 		return err
 	}
-	st.cursor = cur
 	st.qual = sd.Qual
 	st.qr = qr
 	sd.UserData = cur
@@ -454,40 +386,15 @@ func rstParallelScan(ctx *mi.Context, sd *am.ScanDesc, degree int) ([]*am.ScanDe
 	if err != nil || ps == nil {
 		return nil, err
 	}
-	workers := ps.Parts()
-	if workers > degree {
-		workers = degree
-	}
-	sd.UserData = ps
-	out := make([]*am.ScanDesc, workers)
-	for i := range out {
-		out[i] = &am.ScanDesc{
-			Index: sd.Index, Qual: sd.Qual,
-			BatchCap: sd.BatchCap, Obs: sd.Obs,
-			UserData: ps.Cursor(),
-		}
-	}
-	ctx.Tracer().Tracef("rst", 2, "rst_parallelscan %s: %d workers over %d subtrees", sd.Index.Name, workers, ps.Parts())
-	return out, nil
+	return treeblade.Partition(ctx, "rst", sd, ps, degree), nil
 }
 
 func rstRescan(ctx *mi.Context, sd *am.ScanDesc) error {
-	if sd.Batch != nil {
-		sd.Batch.Reset()
-	}
-	switch cur := sd.UserData.(type) {
-	case *rstar.Cursor:
-		cur.Reset()
-		return nil
-	case *rstar.ParallelScan:
-		return cur.Reset()
-	}
-	return fmt.Errorf("rstblade: rescan without a cursor")
+	return treeblade.Rescan("rstblade", sd)
 }
 
 func rstEndScan(ctx *mi.Context, sd *am.ScanDesc) error {
 	if st, err := state(sd.Index); err == nil {
-		st.cursor = nil
 		st.qual = nil
 	}
 	sd.UserData = nil
@@ -501,15 +408,7 @@ func rstEndScan(ctx *mi.Context, sd *am.ScanDesc) error {
 // positives (SubMax) or miss grown tuples (SubAsOf); the latter is the
 // recall loss experiment P1 reports.
 func rstGetNext(ctx *mi.Context, sd *am.ScanDesc) (heap.RowID, []types.Datum, bool, error) {
-	cur, ok := sd.UserData.(*rstar.Cursor)
-	if !ok {
-		return 0, nil, false, fmt.Errorf("rstblade: getnext without beginscan")
-	}
-	entry, ok2, err := cur.Next()
-	if err != nil || !ok2 {
-		return 0, nil, false, err
-	}
-	return heap.RowID(entry.Payload()), nil, true, nil
+	return treeblade.GetNext("rstblade", sd, noRow)
 }
 
 // rstGetMulti implements am_getmulti: one dispatch drains the cursor's
@@ -517,26 +416,11 @@ func rstGetNext(ctx *mi.Context, sd *am.ScanDesc) (heap.RowID, []types.Datum, bo
 // engine re-evaluating the WHERE clause per fetched row, as in
 // rstGetNext).
 func rstGetMulti(ctx *mi.Context, sd *am.ScanDesc) (int, error) {
-	// Serial cursor or a parallel partition's PartCursor — both drain
-	// through NextBatch.
-	cur, ok := sd.UserData.(interface {
-		NextBatch([]rstar.Entry) (int, error)
-	})
-	if !ok {
-		return 0, fmt.Errorf("rstblade: getmulti without beginscan")
-	}
-	b := sd.Batch
-	b.Reset()
-	entries := make([]rstar.Entry, b.Cap())
-	n, err := cur.NextBatch(entries)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		b.Append(heap.RowID(entries[i].Payload()), nil)
-	}
-	return b.N, nil
+	return treeblade.GetMulti("rstblade", sd, noRow)
 }
+
+// noRow is the indexed-column rendering of a candidate: none.
+func noRow(rstar.Rect) []types.Datum { return nil }
 
 // rstBuild implements am_build, the optional bulk-load purpose slot: the
 // server feeds snapshot batches through next; the blade maps each extent to
@@ -548,32 +432,16 @@ func rstBuild(ctx *mi.Context, id *am.IndexDesc, next am.AmBuildNext) (int, erro
 		return 0, err
 	}
 	var items []rstar.BulkItem
-	for {
-		b, err := next()
+	err = treeblade.ForEachRow(next, func(rid heap.RowID, row []types.Datum) error {
+		r, err := st.indexed(id, row[0])
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.N; i++ {
-			ext, err := extentOf(b.Rows[i][0])
-			if err != nil {
-				return 0, err
-			}
-			if !ext.ValidAt(st.ct) {
-				return 0, fmt.Errorf("rstblade: extent %v violates the transaction-time constraints at current time %v", ext, st.ct)
-			}
-			if ext.NowRelative() {
-				if err := st.clearGround(id); err != nil {
-					return 0, err
-				}
-			}
-			items = append(items, rstar.BulkItem{
-				Rect:    MapExtent(ext, st.cfg.sub, st.cfg.maxTS, st.ct),
-				Payload: rstar.Payload(b.RowIDs[i]),
-			})
-		}
+		items = append(items, rstar.BulkItem{Rect: r, Payload: rstar.Payload(rid)})
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	if err := st.tree.BulkLoad(items); err != nil {
 		return 0, err
@@ -596,24 +464,35 @@ func (st *openState) clearGround(id *am.IndexDesc) error {
 	return nil
 }
 
+// indexed maps a column value being indexed to its rectangle, enforcing
+// the transaction-time constraints at the blade's current time and clearing
+// the ground flag when the extent is now-relative.
+func (st *openState) indexed(id *am.IndexDesc, d types.Datum) (rstar.Rect, error) {
+	ext, err := grtblade.ExtentArg(d)
+	if err != nil {
+		return rstar.Rect{}, err
+	}
+	if !ext.ValidAt(st.ct) {
+		return rstar.Rect{}, fmt.Errorf("rstblade: extent %v violates the transaction-time constraints at current time %v", ext, st.ct)
+	}
+	if ext.NowRelative() {
+		if err := st.clearGround(id); err != nil {
+			return rstar.Rect{}, err
+		}
+	}
+	return MapExtent(ext, st.cfg.sub, st.cfg.maxTS, st.ct), nil
+}
+
 func rstInsert(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.RowID) error {
 	st, err := state(id)
 	if err != nil {
 		return err
 	}
-	ext, err := extentOf(row[0])
+	r, err := st.indexed(id, row[0])
 	if err != nil {
 		return err
 	}
-	if !ext.ValidAt(st.ct) {
-		return fmt.Errorf("rstblade: extent %v violates the transaction-time constraints at current time %v", ext, st.ct)
-	}
-	if ext.NowRelative() {
-		if err := st.clearGround(id); err != nil {
-			return err
-		}
-	}
-	return st.tree.Insert(MapExtent(ext, st.cfg.sub, st.cfg.maxTS, st.ct), rstar.Payload(rid))
+	return st.tree.Insert(r, rstar.Payload(rid))
 }
 
 // rstDelete locates the entry by payload (the rectangle stored at insertion
@@ -624,7 +503,7 @@ func rstDelete(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.Ro
 	if err != nil {
 		return err
 	}
-	ext, err := extentOf(row[0])
+	ext, err := grtblade.ExtentArg(row[0])
 	if err != nil {
 		return err
 	}
@@ -643,8 +522,8 @@ func rstDelete(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.Ro
 		if !ok {
 			return fmt.Errorf("rstblade: index %s has no entry for row %v: %w", id.Name, rid, am.ErrNoEntry)
 		}
-		if entry.Payload() == rstar.Payload(rid) {
-			removed, _, err := st.tree.Delete(entry.Rect, entry.Payload())
+		if entry.Ref == uint64(rid) {
+			removed, _, err := st.tree.Delete(entry.Key, rstar.Payload(rid))
 			if err != nil {
 				return err
 			}
@@ -663,99 +542,42 @@ func rstUpdate(ctx *mi.Context, id *am.IndexDesc, oldRow []types.Datum, oldRid h
 	return rstInsert(ctx, id, newRow, newRid)
 }
 
+// rstScanCost implements am_scancost with the shared height-plus-leaves
+// estimate; with statistics each strategy-function leaf is estimated from
+// the valid-time (Y-axis) histograms over the query's conservative
+// rectangle.
 func rstScanCost(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (float64, error) {
 	st, err := state(id)
 	if err != nil {
 		return 0, err
 	}
-	leafNodes := float64(st.tree.Size())/float64(rstar.Capacity) + 1
-	if id.Stats != nil && id.Stats.Lo.Rows > 0 {
-		sel := qualSelectivity(st, id.Stats, q)
-		cost := 1 + float64(st.tree.Height()) + sel*leafNodes
-		ctx.Tracer().Tracef("rst", 2, "rst_scancost %s: %.2f (stats, sel %.3f)", id.Name, cost, sel)
-		return cost, nil
-	}
-	cost := float64(st.tree.Height()) + 0.2*leafNodes
-	ctx.Tracer().Tracef("rst", 2, "rst_scancost %s: %.2f", id.Name, cost)
-	return cost, nil
-}
-
-// qualSelectivity estimates the entry fraction a qualification touches from
-// the collected valid-time (Y-axis) histograms: leaves use the interval
-// overlap formula over the query's conservative rectangle, AND takes the
-// most selective conjunct, OR saturating-adds.
-func qualSelectivity(st *openState, stats *am.IndexStats, q *am.Qual) float64 {
-	if q == nil {
-		return 1
-	}
-	switch q.Op {
-	case am.QAnd:
-		sel := 1.0
-		for _, c := range q.Children {
-			if s := qualSelectivity(st, stats, c); s < sel {
-				sel = s
-			}
-		}
-		return sel
-	case am.QOr:
-		sel := 0.0
-		for _, c := range q.Children {
-			sel += qualSelectivity(st, stats, c)
-		}
-		if sel > 1 {
-			sel = 1
-		}
-		return sel
-	case am.QFunc:
-		ext, err := extentOf(q.Const)
+	return treeblade.ScanCost(ctx, "rst", id, st.tree.Tree, q, func(l *am.Qual) float64 {
+		ext, err := grtblade.ExtentArg(l.Const)
 		if err != nil {
 			return 1
 		}
 		r := MapExtent(ext, st.cfg.sub, st.cfg.maxTS, st.ct)
-		return stats.SelectivityOverlap(float64(r.YMin), float64(r.YMax))
-	}
-	return 1
+		return id.Stats.SelectivityOverlap(float64(r.YMin), float64(r.YMax))
+	}), nil
 }
 
-// histogramBuckets is the equi-depth bucket count rst_stats collects.
-const histogramBuckets = 32
-
-// rstStats implements am_stats: the human-readable summary plus the entry
-// count and valid-time-axis histograms UPDATE STATISTICS persists into
-// SYSSTATS for rst_scancost. The indexed rectangles already carry their
+// rstStats implements am_stats. The indexed rectangles already carry their
 // substituted ground values, so the leaves are summarized as stored.
 func rstStats(ctx *mi.Context, id *am.IndexDesc) (*am.IndexStats, error) {
 	st, err := state(id)
 	if err != nil {
 		return nil, err
 	}
-	levels, err := st.tree.Stats()
+	ts, err := st.tree.Tree.Stats(struct{}{})
 	if err != nil {
 		return nil, err
 	}
-	var overlap float64
-	for _, l := range levels {
-		overlap += l.Overlap
-	}
-	summary := fmt.Sprintf("index %s: %d entries, height %d, sibling overlap %.0f",
-		id.Name, st.tree.Size(), st.tree.Height(), overlap)
-
-	lo := make([]float64, 0, st.tree.Size())
-	hi := make([]float64, 0, st.tree.Size())
-	err = st.tree.WalkLeaves(func(e rstar.Entry) error {
-		lo = append(lo, float64(e.Rect.YMin))
-		hi = append(hi, float64(e.Rect.YMax))
-		return nil
+	return treeblade.IndexStats(id.Name, ts, func(visit func(lo, hi int64)) error {
+		return st.tree.WalkLeaves(func(e rstar.Entry) error {
+			visit(e.Key.YMin, e.Key.YMax)
+			return nil
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &am.IndexStats{
-		Summary: summary,
-		Entries: st.tree.Size(),
-		Lo:      am.BuildHistogram(lo, histogramBuckets),
-		Hi:      am.BuildHistogram(hi, histogramBuckets),
-	}, nil
 }
 
 // rstAggregate implements am_aggregate. The R*-tree scan protocol returns
@@ -776,27 +598,12 @@ func rstAggregate(ctx *mi.Context, id *am.IndexDesc, req *am.AggRequest) (*am.Ag
 	if req.Qual == nil || req.Qual.Op != am.QFunc {
 		return nil, false, nil
 	}
-	q := req.Qual
-	var op rstar.Op
-	switch strings.ToLower(q.Func) {
-	case "overlaps":
-		op = rstar.OpOverlaps
-	case "equal":
-		op = rstar.OpEqual
-	case "contains":
-		op = rstar.OpContains
-		if !q.ColFirst {
-			op = rstar.OpContainedIn
-		}
-	case "containedin":
-		op = rstar.OpContainedIn
-		if !q.ColFirst {
-			op = rstar.OpContains
-		}
-	default:
+	s, ok := treeblade.Strategy(req.Qual)
+	if !ok {
 		return nil, false, nil
 	}
-	ext, err := extentOf(q.Const)
+	op := rstar.Op(s)
+	ext, err := grtblade.ExtentArg(req.Qual.Const)
 	if err != nil || ext.NowRelative() || !ext.Valid() {
 		return nil, false, nil
 	}

@@ -10,7 +10,8 @@
 //     rectangle/stair-shape region algebra of Section 3;
 //   - grtree     — the GR-tree itself: a time-parameterised R*-tree whose
 //     bounding regions grow with the current time, carrying the
-//     "Rectangle" and "Hidden" flags;
+//     "Rectangle" and "Hidden" flags — the region algebra run on rtree,
+//     the R* skeleton it shares with the rstar baseline;
 //   - grtblade   — the DataBlade: the opaque type GRT_TimeExtent_t, the
 //     grt_* purpose functions, the operator class, and the
 //     registration script (Sections 4–6);

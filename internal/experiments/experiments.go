@@ -507,7 +507,9 @@ func RunT4(w io.Writer, root string) ([]T4Row, error) {
 		{"Bitemporal model: UC/NOW, six cases, region algebra", "internal/chronon + internal/temporal", count("internal/chronon") + count("internal/temporal")},
 		{"Defining the opaque type and its support functions", "internal/blades/grtblade (type part)", count("internal/blades/grtblade")},
 		{"Access-method purpose functions (the GR-tree blade)", "internal/blades/grtblade", count("internal/blades/grtblade")},
-		{"The GR-tree core (assumed pre-existing in the paper)", "internal/grtree", count("internal/grtree")},
+		{"Purpose-function glue shared by the tree blades", "internal/blades/treeblade", count("internal/blades/treeblade")},
+		{"The R*-tree core both trees share (pre-existing)", "internal/rtree", count("internal/rtree")},
+		{"The GR-tree region algebra on that core", "internal/grtree", count("internal/grtree")},
 		{"The R*-tree baseline", "internal/rstar + internal/blades/rstblade", count("internal/rstar") + count("internal/blades/rstblade")},
 		{"BLOB manipulation (sbspace large objects)", "internal/sbspace + internal/nodestore", count("internal/sbspace") + count("internal/nodestore")},
 		{"Qualification descriptors and the VII framework", "internal/am", count("internal/am")},

@@ -326,7 +326,7 @@ func (r *RSTIndex) searchCount(q temporal.Extent, ct chronon.Instant, candidates
 		}
 		// Exact re-filter needs the tuple's true extent — a heap fetch in
 		// the engine; here the final map substitutes for the heap.
-		if ext, ok := r.exactExtent(uint64(e.Payload())); ok {
+		if ext, ok := r.exactExtent(e.Ref); ok {
 			if ext.Region().Overlaps(qreg, ct) {
 				exact++
 			}

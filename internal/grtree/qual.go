@@ -7,6 +7,82 @@ import (
 	"repro/internal/temporal"
 )
 
+// Op is a query predicate operator — the strategy functions of the GR-tree
+// operator class (Section 5.2), numbered in its STRATEGIES order: Overlaps,
+// Equal, Contains, ContainedIn.
+type Op int
+
+const (
+	// OpOverlaps finds extents whose regions share a cell with the query.
+	OpOverlaps Op = iota
+	// OpEqual finds extents whose regions equal the query region.
+	OpEqual
+	// OpContains finds extents whose regions contain the query region.
+	OpContains
+	// OpContainedIn finds extents whose regions lie inside the query region.
+	OpContainedIn
+)
+
+func (o Op) String() string {
+	switch o {
+	case OpOverlaps:
+		return "Overlaps"
+	case OpEqual:
+		return "Equal"
+	case OpContains:
+		return "Contains"
+	case OpContainedIn:
+		return "ContainedIn"
+	}
+	return "?"
+}
+
+// leafTest evaluates the predicate against a leaf region — the strategy
+// function proper, operating on exact geometry.
+func leafTest(op Op, entry, query temporal.Region, ct chronon.Instant) bool {
+	switch op {
+	case OpOverlaps:
+		return entry.Overlaps(query, ct)
+	case OpEqual:
+		return entry.Equal(query, ct)
+	case OpContains:
+		return entry.Contains(query, ct)
+	case OpContainedIn:
+		return entry.ContainedIn(query, ct)
+	}
+	return false
+}
+
+// internalTest is the pruning predicate for internal-node bounding regions —
+// the "internal" companion of each strategy function that Section 5.2
+// discusses (OverlapsInternal() etc., hard-coded in the prototype): it must
+// hold whenever any descendant leaf could satisfy the strategy function.
+func internalTest(op Op, bound, query temporal.Region, ct chronon.Instant) bool {
+	switch op {
+	case OpOverlaps, OpContainedIn:
+		// A leaf overlapping (or inside) the query overlaps it, so its
+		// ancestors' bounds do too.
+		return bound.Overlaps(query, ct)
+	case OpEqual, OpContains:
+		// A leaf equal to (or containing) the query contains it, so its
+		// ancestors' bounds contain it as well.
+		return bound.Contains(query, ct)
+	}
+	return false
+}
+
+// Predicate is a search qualification: an operator and a query extent.
+type Predicate struct {
+	Op    Op
+	Query temporal.Extent
+}
+
+// Match evaluates the predicate against an extent at ct (the non-indexed
+// fallback the server uses when the optimizer skips the index).
+func (p Predicate) Match(e temporal.Extent, ct chronon.Instant) bool {
+	return leafTest(p.Op, e.Region(), p.Query.Region(), ct)
+}
+
 // Matcher generalises the cursor's predicate: LeafMatch is the exact
 // strategy test on a data region; InternalMatch is the pruning test on a
 // bounding region and must hold whenever any descendant leaf could match.
@@ -102,11 +178,29 @@ func (c *Compound) InternalMatch(bound temporal.Region, ct chronon.Instant) bool
 	return c.And
 }
 
-// SearchMatcher creates a cursor over an arbitrary matcher (compound
-// qualifications).
-func (t *Tree) SearchMatcher(m Matcher, ct chronon.Instant) *Cursor {
-	return &Cursor{
-		t: t, match: m, ct: ct,
-		epoch: t.epoch, returned: make(map[Payload]bool),
-	}
+// atTime binds a Matcher to the current time a traversal runs at — the
+// shape of qualification the shared R* core evaluates.
+type atTime struct {
+	m  Matcher
+	ct chronon.Instant
+}
+
+func (a *atTime) LeafMatch(r temporal.Region) bool { return a.m.LeafMatch(r, a.ct) }
+
+func (a *atTime) InternalMatch(bound temporal.Region) bool { return a.m.InternalMatch(bound, a.ct) }
+
+// predAt is one predicate bound to a current time, its query region
+// converted once: the matcher of the tree's own searches and aggregates.
+type predAt struct {
+	op    Op
+	query temporal.Region
+	ct    chronon.Instant
+}
+
+func (p Predicate) at(ct chronon.Instant) *predAt { return &predAt{p.Op, p.Query.Region(), ct} }
+
+func (p *predAt) LeafMatch(r temporal.Region) bool { return leafTest(p.op, r, p.query, p.ct) }
+
+func (p *predAt) InternalMatch(bound temporal.Region) bool {
+	return internalTest(p.op, bound, p.query, p.ct)
 }

@@ -3,33 +3,18 @@ package grtree
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"strings"
 
 	"repro/internal/chronon"
 	"repro/internal/nodestore"
+	"repro/internal/rtree"
 	"repro/internal/temporal"
 )
 
-// LevelStats aggregates one tree level (level 0 = leaves).
-type LevelStats struct {
-	Level   int
-	Nodes   int
-	Entries int
-	// Area is the total area of the level's node bounding regions at the
-	// measurement time.
-	Area float64
-	// Overlap is the total pairwise intersection area between sibling
-	// bounding regions at the level — the "overlap" goodness measure of
-	// Section 3.
-	Overlap float64
-}
-
-// TreeStats summarises the tree structure and its goodness measures.
+// TreeStats summarises the tree structure and its goodness measures; the
+// per-level areas and overlaps are measured at the time Stats was given.
 type TreeStats struct {
-	Height      int
-	Nodes       int
-	LeafEntries int
-	PerLevel    []LevelStats
+	rtree.Stats
 	// DeadSpaceRatio estimates the fraction of leaf-bound area not covered
 	// by any data region (Section 3's "dead space"), when sampled.
 	DeadSpaceRatio float64
@@ -39,70 +24,41 @@ type TreeStats struct {
 // deadSpaceSamples > 0 additionally estimates the dead-space ratio by Monte
 // Carlo sampling with the given seed.
 func (t *Tree) Stats(ct chronon.Instant, deadSpaceSamples int, seed int64) (TreeStats, error) {
-	st := TreeStats{Height: t.height}
-	levels := make(map[int]*LevelStats)
-	levelBounds := make(map[int][]temporal.Shape)
-	var leafShapes []temporal.Shape
-
-	var walk func(id uint64) error
-	walk = func(id uint64) error {
-		n, err := t.readNode(nodeID(id))
-		if err != nil {
-			return err
-		}
-		st.Nodes++
-		ls := levels[n.level]
-		if ls == nil {
-			ls = &LevelStats{Level: n.level}
-			levels[n.level] = ls
-		}
-		ls.Nodes++
-		ls.Entries += len(n.entries)
-		if n.leaf {
-			st.LeafEntries += len(n.entries)
-			for _, e := range n.entries {
-				leafShapes = append(leafShapes, e.Region.Resolve(ct))
-			}
-			return nil
-		}
-		for _, e := range n.entries {
-			levelBounds[n.level-1] = append(levelBounds[n.level-1], e.Region.Resolve(ct))
-			if err := walk(e.Ref); err != nil {
-				return err
+	now := ctx{ct: ct, horizon: ct}
+	st, err := t.Tree.Stats(now)
+	ts := TreeStats{Stats: st}
+	if err != nil {
+		return ts, err
+	}
+	rb, err := t.RootBound(now)
+	if err != nil {
+		return ts, err
+	}
+	root := rb.Resolve(ct)
+	ts.PerLevel[len(ts.PerLevel)-1].Area = root.Area()
+	if deadSpaceSamples <= 0 || root.Empty() {
+		return ts, nil
+	}
+	var leafBounds, data []temporal.Shape
+	err = t.Walk(func(_ nodestore.NodeID, level int, entries []Entry) error {
+		for _, e := range entries {
+			switch level {
+			case 0:
+				data = append(data, e.Key.Resolve(ct))
+			case 1:
+				leafBounds = append(leafBounds, e.Key.Resolve(ct))
 			}
 		}
 		return nil
-	}
-	if err := walk(uint64(t.root)); err != nil {
-		return st, err
-	}
-
-	// Root bound (level height-1) is the bound over the root's entries.
-	rootN, err := t.readNode(t.root)
+	})
 	if err != nil {
-		return st, err
+		return ts, err
 	}
-	rootBound := t.bound(rootN, ct).Resolve(ct)
-	levelBounds[rootN.level] = []temporal.Shape{rootBound}
-
-	for lvl, ls := range levels {
-		for _, s := range levelBounds[lvl] {
-			ls.Area += s.Area()
-		}
-		bs := levelBounds[lvl]
-		for i := 0; i < len(bs); i++ {
-			for j := i + 1; j < len(bs); j++ {
-				ls.Overlap += bs[i].IntersectionArea(bs[j])
-			}
-		}
-		st.PerLevel = append(st.PerLevel, *ls)
+	if t.Height() == 1 {
+		leafBounds = []temporal.Shape{root}
 	}
-	sort.Slice(st.PerLevel, func(a, b int) bool { return st.PerLevel[a].Level < st.PerLevel[b].Level })
-
-	if deadSpaceSamples > 0 && !rootBound.Empty() {
-		st.DeadSpaceRatio = deadSpace(rootBound, levelBounds[0], leafShapes, deadSpaceSamples, seed)
-	}
-	return st, nil
+	ts.DeadSpaceRatio = deadSpace(root, leafBounds, data, deadSpaceSamples, seed)
+	return ts, nil
 }
 
 // deadSpace estimates the fraction of total leaf-bound area that is covered
@@ -147,96 +103,23 @@ func deadSpace(root temporal.Shape, leafBounds, dataShapes []temporal.Shape, sam
 	return float64(dead) / float64(inBound)
 }
 
-// Check validates the tree's structural invariants at ct (am_check):
-// every child region is covered by its parent entry now and in the future,
-// node fills respect the minimum (policy permitting), levels are consistent,
-// and the leaf count matches the recorded size. It returns a descriptive
-// error on the first violation.
-func (t *Tree) Check(ct chronon.Instant) error {
-	count := 0
-	var walk func(id uint64, expectLevel int, isRoot bool, parentBound *temporal.Region) error
-	walk = func(id uint64, expectLevel int, isRoot bool, parentBound *temporal.Region) error {
-		n, err := t.readNode(nodeID(id))
-		if err != nil {
-			return err
-		}
-		if expectLevel >= 0 && n.level != expectLevel {
-			return fmt.Errorf("grtree: node %d at level %d, expected %d", n.id, n.level, expectLevel)
-		}
-		if n.leaf != (n.level == 0) {
-			return fmt.Errorf("grtree: node %d leaf flag inconsistent with level %d", n.id, n.level)
-		}
-		if !isRoot && t.cfg.DeletePolicy != NoCondense && len(n.entries) < t.minFill() {
-			return fmt.Errorf("grtree: node %d underfull (%d < %d)", n.id, len(n.entries), t.minFill())
-		}
-		if len(n.entries) > t.cfg.MaxEntries {
-			return fmt.Errorf("grtree: node %d overfull (%d > %d)", n.id, len(n.entries), t.cfg.MaxEntries)
-		}
-		if isRoot && n.level != t.height-1 {
-			return fmt.Errorf("grtree: root level %d, height %d", n.level, t.height)
-		}
-		for _, e := range n.entries {
-			if parentBound != nil && !parentBound.CoversRegion(e.Region, ct) {
-				return fmt.Errorf("grtree: node %d entry %v escapes parent bound %v", n.id, e.Region, *parentBound)
-			}
-			if n.leaf {
-				count++
-				continue
-			}
-			r := e.Region
-			if err := walk(e.Ref, n.level-1, false, &r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(uint64(t.root), t.height-1, true, nil); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("grtree: leaf count %d != recorded size %d", count, t.size)
-	}
-	return nil
-}
-
 // Dump renders the tree structure (Figure 5 style) for grtinspect.
 func (t *Tree) Dump(ct chronon.Instant) (string, error) {
-	out := ""
-	var walk func(id uint64, depth int) error
-	walk = func(id uint64, depth int) error {
-		n, err := t.readNode(nodeID(id))
-		if err != nil {
-			return err
+	var b strings.Builder
+	err := t.Walk(func(id nodestore.NodeID, level int, entries []Entry) error {
+		indent := strings.Repeat("  ", t.Height()-1-level)
+		kind, target := "node", "node"
+		if level == 0 {
+			kind, target = "leaf", "row"
 		}
-		indent := ""
-		for i := 0; i < depth; i++ {
-			indent += "  "
-		}
-		kind := "node"
-		if n.leaf {
-			kind = "leaf"
-		}
-		out += fmt.Sprintf("%s%s %d (level %d, %d entries)\n", indent, kind, n.id, n.level, len(n.entries))
-		for _, e := range n.entries {
-			if n.leaf {
-				out += fmt.Sprintf("%s  %v -> row %d\n", indent, e.Region, e.Ref)
-			} else {
-				out += fmt.Sprintf("%s  %v -> node %d\n", indent, e.Region, e.Ref)
-			}
-		}
-		if !n.leaf {
-			for _, e := range n.entries {
-				if err := walk(e.Ref, depth+1); err != nil {
-					return err
-				}
-			}
+		fmt.Fprintf(&b, "%s%s %d (level %d, %d entries)\n", indent, kind, id, level, len(entries))
+		for _, e := range entries {
+			fmt.Fprintf(&b, "%s  %v -> %s %d\n", indent, e.Key, target, e.Ref)
 		}
 		return nil
-	}
-	if err := walk(uint64(t.root), 0); err != nil {
+	})
+	if err != nil {
 		return "", err
 	}
-	return out, nil
+	return b.String(), nil
 }
-
-func nodeID(v uint64) nodestore.NodeID { return nodestore.NodeID(v) }

@@ -3,6 +3,8 @@ package rstar
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/rtree"
 )
 
 // FuzzEvenPartition pins the STR run-partitioning invariants: the runs
@@ -20,13 +22,13 @@ func FuzzEvenPartition(f *testing.F) {
 		if n < 0 || n > 1<<20 || maxRun < 1 || maxRun > 1<<20 {
 			t.Skip()
 		}
-		runs := evenPartition(n, maxRun)
+		runs := rtree.EvenPartition(n, maxRun)
 		wantRuns := (n + maxRun - 1) / maxRun
 		if wantRuns < 1 {
 			wantRuns = 1
 		}
 		if len(runs) != wantRuns {
-			t.Fatalf("evenPartition(%d, %d): %d runs, want %d", n, maxRun, len(runs), wantRuns)
+			t.Fatalf("EvenPartition(%d, %d): %d runs, want %d", n, maxRun, len(runs), wantRuns)
 		}
 		sum, min, max := 0, runs[0], runs[0]
 		for _, r := range runs {
@@ -39,16 +41,16 @@ func FuzzEvenPartition(f *testing.F) {
 			}
 		}
 		if sum != n {
-			t.Fatalf("evenPartition(%d, %d): runs sum to %d", n, maxRun, sum)
+			t.Fatalf("EvenPartition(%d, %d): runs sum to %d", n, maxRun, sum)
 		}
 		if max > maxRun {
-			t.Fatalf("evenPartition(%d, %d): run of %d exceeds maxRun", n, maxRun, max)
+			t.Fatalf("EvenPartition(%d, %d): run of %d exceeds maxRun", n, maxRun, max)
 		}
 		if n > 0 && min < 1 {
-			t.Fatalf("evenPartition(%d, %d): empty run", n, maxRun)
+			t.Fatalf("EvenPartition(%d, %d): empty run", n, maxRun)
 		}
 		if max-min > 1 {
-			t.Fatalf("evenPartition(%d, %d): unbalanced runs (min %d, max %d)", n, maxRun, min, max)
+			t.Fatalf("EvenPartition(%d, %d): unbalanced runs (min %d, max %d)", n, maxRun, min, max)
 		}
 	})
 }

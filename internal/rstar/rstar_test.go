@@ -2,6 +2,7 @@ package rstar
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/nodestore"
@@ -267,5 +268,39 @@ func TestEmptyRectInsertFails(t *testing.T) {
 	tr := newTestTree(t, smallConfig())
 	if err := tr.Insert(Rect{5, 4, 0, 0}, 1); err == nil {
 		t.Fatal("empty rect insert must fail")
+	}
+}
+
+// TestStatsDeterministicAscending: Stats returns one entry per level in
+// ascending level order, identically on every call, so summed overlap
+// figures do not depend on map iteration order.
+func TestStatsDeterministicAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tr := newTestTree(t, smallConfig())
+	for i := 0; i < 400; i++ {
+		if err := tr.Insert(randomRect(rng, 500), Payload(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := tr.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != tr.Height() || tr.Height() < 3 {
+		t.Fatalf("%d levels for height %d", len(first), tr.Height())
+	}
+	for i, l := range first {
+		if l.Level != i {
+			t.Fatalf("level %d reported at position %d: %+v", l.Level, i, first)
+		}
+	}
+	for n := 0; n < 20; n++ {
+		again, err := tr.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("Stats call %d differs:\n%+v\n%+v", n, first, again)
+		}
 	}
 }

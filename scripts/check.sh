@@ -2,6 +2,7 @@
 # Static checks plus the race-sensitive packages under the race detector:
 # the sharded buffer pool, the version-chained heap and its page latches,
 # the lock manager's deadlock detection, the purpose-function framework,
+# the shared R*-tree core (latched node I/O and parallel-scan crabbing),
 # the batched scan pipeline, the WAL group-commit flusher, the network
 # stack (wire framing, the session-multiplexing server, the client
 # library), the online index build (side-log capture, the tree blades'
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
-echo "== go test -race (storage, heap, lock, wal, am, engine, grtree, rstar, blades, wire, server, client, plancache)"
-go test -race ./internal/storage/... ./internal/heap/... ./internal/lock/... ./internal/wal/... ./internal/am/... ./internal/engine/... ./internal/grtree/... ./internal/rstar/... ./internal/blades/... ./internal/wire/... ./internal/server/... ./internal/client/... ./internal/plancache/...
+echo "== go test -race (storage, heap, lock, wal, am, engine, rtree, grtree, rstar, blades, wire, server, client, plancache)"
+go test -race ./internal/storage/... ./internal/heap/... ./internal/lock/... ./internal/wal/... ./internal/am/... ./internal/engine/... ./internal/rtree/... ./internal/grtree/... ./internal/rstar/... ./internal/blades/... ./internal/wire/... ./internal/server/... ./internal/client/... ./internal/plancache/...
 
 echo "ok"
